@@ -70,7 +70,7 @@ let run_qwm ~model ~waveform scenario =
   report
 
 (* --sta: propagate arrivals over a fan-out tree of the selected stage *)
-let run_sta ~tech ~depth ~fanout ~domains ~scheduler ~chunk ~use_cache
+let run_sta ~tech ~depth ~fanout ~domains ~chunk ~use_cache
     ~report_timing ~report_slack ~k_paths ~clock_period_ps ~json_file scenario =
   if fanout < 1 then (
     Printf.eprintf "qwm_sim: --fanout must be >= 1 (got %d)\n" fanout;
@@ -94,14 +94,13 @@ let run_sta ~tech ~depth ~fanout ~domains ~scheduler ~chunk ~use_cache
   ignore (Timing_graph.freeze graph);
   let cache = if use_cache then Some (Stage_cache.create ()) else None in
   let t0 = Unix.gettimeofday () in
-  let analysis = Parallel.propagate ~model ?cache ~domains ~scheduler ?chunk graph in
+  let analysis = Parallel.propagate ~model ?cache ~domains ?chunk graph in
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf
-    "sta: %d copies of %s (fan-out %d, depth %d), %d domain%s [%s%s]: %.3f ms\n"
+    "sta: %d copies of %s (fan-out %d, depth %d), %d domain%s%s: %.3f ms\n"
     (Timing_graph.num_stages graph) scenario.Scenario.name fanout depth domains
     (if domains = 1 then "" else "s")
-    (Parallel.scheduler_name scheduler)
-    (match chunk with Some c -> Printf.sprintf ", chunk %d" c | None -> "")
+    (match chunk with Some c -> Printf.sprintf " [chunk %d]" c | None -> "")
     (elapsed *. 1e3);
   if Timing_graph.num_stages graph <= 16 then
     Report.print Format.std_formatter graph analysis
@@ -364,7 +363,7 @@ let partition_netlist path =
     0
 
 let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-    epsilon_ps sta_depth sta_fanout domains scheduler chunk no_cache report_timing
+    epsilon_ps sta_depth sta_fanout domains chunk no_cache report_timing
     report_slack k_paths clock_period_ps json_file audit baseline_file
     update_baseline tol_pct serve graph_spec max_sessions timing_json_file
     timing_k prom access_log slow_ms =
@@ -404,7 +403,7 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     match sta_depth with
     | Some depth ->
       let domains = Option.value domains ~default:(Parallel.default_domains ()) in
-      run_sta ~tech ~depth ~fanout:sta_fanout ~domains ~scheduler ~chunk
+      run_sta ~tech ~depth ~fanout:sta_fanout ~domains ~chunk
         ~use_cache:(not no_cache) ~report_timing ~report_slack ~k_paths
         ~clock_period_ps ~json_file scenario
     | None ->
@@ -429,7 +428,7 @@ let run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     0
 
 let main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-    epsilon_ps sta_depth sta_fanout domains scheduler chunk no_cache report_timing
+    epsilon_ps sta_depth sta_fanout domains chunk no_cache report_timing
     report_slack k_paths clock_period_ps json_file audit baseline_file
     update_baseline tol_pct serve graph_spec max_sessions timing_json_file
     timing_k trace_file trace_out metrics_file prom access_log slow_ms =
@@ -443,7 +442,7 @@ let main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
     if serve <> None then Trace.enable ~cap:262_144 () else Trace.enable ();
   let code =
     run_main circuit engine dt_ps waveform ramp_ps partition incr_script scratch
-      epsilon_ps sta_depth sta_fanout domains scheduler chunk no_cache
+      epsilon_ps sta_depth sta_fanout domains chunk no_cache
       report_timing report_slack k_paths clock_period_ps json_file audit
       baseline_file update_baseline tol_pct serve graph_spec max_sessions
       timing_json_file timing_k prom access_log slow_ms
@@ -512,22 +511,6 @@ let sta_fanout =
 let domains =
   let doc = "Domains used by --sta propagation (default: the recommended domain count of this machine)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let scheduler =
-  let doc =
-    "Parallel scheduler used by --sta propagation: steal (level-batched \
-     work-stealing chunk deques, the default) or ready (legacy per-stage \
-     ready queue, kept for A/B comparison)."
-  in
-  Arg.(value
-    & opt
-        (enum
-           [
-             ("steal", Tqwm_sta.Parallel.Work_stealing);
-             ("ready", Tqwm_sta.Parallel.Ready_queue);
-           ])
-        Tqwm_sta.Parallel.Work_stealing
-    & info [ "scheduler" ] ~docv:"NAME" ~doc)
 
 let chunk =
   let doc =
@@ -679,7 +662,7 @@ let cmd =
     Term.(
       const main $ circuit $ engine $ dt $ waveform $ ramp $ partition
       $ incr_script $ scratch $ epsilon_ps $ sta_depth $ sta_fanout $ domains
-      $ scheduler $ chunk $ no_cache $ report_timing $ report_slack $ k_paths
+      $ chunk $ no_cache $ report_timing $ report_slack $ k_paths
       $ clock_period_ps $ json_file $ audit $ baseline_file
       $ update_baseline $ tol_pct $ serve $ graph_spec $ max_sessions
       $ timing_json_file $ timing_k $ trace_file $ trace_out $ metrics_file

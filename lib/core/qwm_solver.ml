@@ -894,42 +894,34 @@ let commit p st { alpha; delta; ok; iters = _ } =
   st.last_alpha_len <- st.active;
   if not ok then st.n_fail <- st.n_fail + 1
 
-let debug = ref false
-
 let target_label = function
   | Turn_on k -> Printf.sprintf "turnon%d" k
   | Level { node; value } -> Printf.sprintf "level(%d,%.3f)" node value
 
-(* Structured per-region diagnostics, replacing the old stderr printf:
-   an instant trace event carrying the state the printf used to dump.
-   The deprecated [debug] flag routes events to the stderr line sink
-   when no other sink is installed, so old invocations keep a per-region
-   stderr trace (now as JSON). *)
+(* Structured per-region diagnostics: an instant trace event carrying the
+   region's state, emitted only while a trace sink is installed. *)
 let trace_region p st target sol =
-  if !debug && not (Trace.enabled ()) then Trace.enable_stderr ();
-  if Trace.enabled () then begin
-    let m = st.active in
-    region_residual p st target sol.alpha sol.delta ~f:p.ws.f_trial;
-    let floats (xs : Vec.t) =
-      Json.List (List.init (Vec.dim xs) (fun r -> Json.Float xs.{r}))
-    in
-    let floats_prefix n (xs : Vec.t) = Json.List (List.init n (fun r -> Json.Float xs.{r})) in
-    Trace.instant ~name:"qwm.region" ~cat:"qwm"
-      ~args:
-        [
-          ("t_ps", Json.Float (st.t *. 1e12));
-          ("active", Json.Int st.active);
-          ("target", Json.String (target_label target));
-          ("ok", Json.Bool sol.ok);
-          ("iters", Json.Int sol.iters);
-          ("delta_ps", Json.Float (sol.delta *. 1e12));
-          ("merit", Json.Float (merit p p.ws.f_trial m));
-          ("v", floats st.v);
-          ("i", floats st.i);
-          ("alpha", floats_prefix m sol.alpha);
-        ]
-      ()
-  end
+  let m = st.active in
+  region_residual p st target sol.alpha sol.delta ~f:p.ws.f_trial;
+  let floats (xs : Vec.t) =
+    Json.List (List.init (Vec.dim xs) (fun r -> Json.Float xs.{r}))
+  in
+  let floats_prefix n (xs : Vec.t) = Json.List (List.init n (fun r -> Json.Float xs.{r})) in
+  Trace.instant ~name:"qwm.region" ~cat:"qwm"
+    ~args:
+      [
+        ("t_ps", Json.Float (st.t *. 1e12));
+        ("active", Json.Int st.active);
+        ("target", Json.String (target_label target));
+        ("ok", Json.Bool sol.ok);
+        ("iters", Json.Int sol.iters);
+        ("delta_ps", Json.Float (sol.delta *. 1e12));
+        ("merit", Json.Float (merit p p.ws.f_trial m));
+        ("v", floats st.v);
+        ("i", floats st.i);
+        ("alpha", floats_prefix m sol.alpha);
+      ]
+    ()
 
 (* Attempt a region. Escalation ladder on Newton failure: retry from an
    explicit-Euler warm start; bisect the target voltage; finally take a
@@ -952,7 +944,7 @@ let rec advance p st target depth =
         if retry.ok then retry else first
       | None -> first
   in
-  if !debug || Trace.enabled () then trace_region p st target sol;
+  if Trace.enabled () then trace_region p st target sol;
   Metrics.observe h_newton_per_region (float_of_int sol.iters);
   if sol.ok && plausible p st sol then commit p st sol
   else begin

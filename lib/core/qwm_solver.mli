@@ -69,10 +69,3 @@ val solve :
     whatever workspace is passed.
     @raise Invalid_argument on malformed inputs. *)
 
-val debug : bool ref
-(** @deprecated Alias for enabling the per-region trace: when set and no
-    {!Tqwm_obs.Trace} sink is installed, the stderr line sink is
-    enabled, so existing [debug := true] invocations keep producing a
-    per-region stderr trace — now as one [qwm.region] trace-event JSON
-    object per line. New code should call {!Tqwm_obs.Trace.enable} (or
-    [qwm_sim --trace FILE]) instead. *)

@@ -10,8 +10,7 @@
     [write_file] merges the shards into one time-sorted JSON document
     loadable by [chrome://tracing] or {{:https://ui.perfetto.dev}
     Perfetto}. The stderr sink prints each event as a JSON line
-    immediately — the replacement for the old [Qwm_solver.debug] stderr
-    dump.
+    immediately.
 
     Domain safety: emission, export, [clear], and sink swaps may race
     freely across domains. Export snapshots each shard under its lock,

@@ -46,12 +46,6 @@ let ramp_of ~slew source =
 
 let settled source = Source.constant (Source.value source 1e3)
 
-type slack_report = {
-  required : float array;
-  slack : float array;
-  worst_slack : float;
-}
-
 type required_report = {
   clock_period : float;
   req : float array;
@@ -111,28 +105,28 @@ let required graph analysis ~clock_period =
   Array.iter (fun id -> Metrics.observe h_endpoint_slack (req_slack.(id) *. ps)) endpoints;
   { clock_period; req; req_slack; endpoints; req_worst_slack; wns; tns }
 
-let slacks graph analysis ~clock_period =
-  let r = required graph analysis ~clock_period in
-  { required = r.req; slack = r.req_slack; worst_slack = r.req_worst_slack }
-
 (* Shape one stage's input sources from its fanin timings: the critical
    (latest-arriving) driver's input becomes a ramp of that driver's
    bucketed slew, other driven inputs settle, everything else is left
    alone. Pure with respect to [timings] and deterministic, so the very
    same shaped scenario (and hence cache fingerprint) is reproducible
    after the fact — the contract [replay_stage] builds on. *)
-let shaped_inputs_via ~arrival_out_of ~slew_of ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) id =
+let shaped_inputs ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) timings id =
   let scenario = frozen.Timing_graph.scenarios.(id) in
   let fanin = frozen.Timing_graph.fanin.(id) in
+  let timing_exn i =
+    match timings.(i) with
+    | Some t -> t
+    | None -> raise (Analysis_failure "fanin stage not yet timed")
+  in
   (* the latest-arriving driver defines the switching input *)
   let critical =
     Array.fold_left
       (fun acc (c : Timing_graph.connection) ->
-        let ao = arrival_out_of c.Timing_graph.from_stage in
+        let driver = timing_exn c.Timing_graph.from_stage in
         match acc with
-        | Some (_, best_ao) when best_ao >= ao -> acc
-        | Some _ | None -> Some (c, ao))
+        | Some (_, best) when best.arrival_out >= driver.arrival_out -> acc
+        | Some _ | None -> Some (c, driver))
       None fanin
   in
   let arrival_in, input_slew, critical_fanin, sources =
@@ -157,9 +151,8 @@ let shaped_inputs_via ~arrival_out_of ~slew_of ~default_slew ?cache ?pi
           Some slew,
           None,
           List.map (fun (name, s) -> (name, ramp_of ~slew s)) scenario.Scenario.sources ))
-    | Some (c, driver_arrival_out) ->
-      let driver_slew = slew_of c.Timing_graph.from_stage in
-      let slew = if driver_slew > 0.0 then driver_slew else default_slew in
+    | Some (c, driver) ->
+      let slew = if driver.slew > 0.0 then driver.slew else default_slew in
       (* bucket before shaping the ramp so the cached solve and the
          waveform actually used agree exactly *)
       let slew =
@@ -175,23 +168,12 @@ let shaped_inputs_via ~arrival_out_of ~slew_of ~default_slew ?cache ?pi
         then (name, settled source)
         else (name, source)
       in
-      ( driver_arrival_out,
+      ( driver.arrival_out,
         Some slew,
         Some c.Timing_graph.from_stage,
         List.map reshape scenario.Scenario.sources )
   in
   (arrival_in, input_slew, critical_fanin, { scenario with Scenario.sources })
-
-let shaped_inputs ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) timings id =
-  let timing_exn id =
-    match timings.(id) with
-    | Some t -> t
-    | None -> raise (Analysis_failure "fanin stage not yet timed")
-  in
-  shaped_inputs_via
-    ~arrival_out_of:(fun i -> (timing_exn i).arrival_out)
-    ~slew_of:(fun i -> (timing_exn i).slew)
-    ~default_slew ?cache ?pi frozen id
 
 (* Turn a stage's QWM solve into its timing record. *)
 let timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id
@@ -274,67 +256,6 @@ let evaluate_stage ~model ~config ~default_slew ?cache ?pi
     t
   end
 
-(* Arena-backed evaluation: fanin timings are read from, and the result
-   stored into, a {!Timing_arena} — no per-stage option/record boxing on
-   the propagation hot path. The arithmetic is exactly
-   [evaluate_stage]'s, so values are bit-identical to the boxed path. *)
-let evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi
-    (frozen : Timing_graph.frozen) arena id =
-  Metrics.incr c_stages_timed;
-  let fanin_exn i =
-    if Timing_arena.has arena i then i
-    else raise (Analysis_failure "fanin stage not yet timed")
-  in
-  let inner () =
-    let arrival_in, input_slew, critical_fanin, scenario =
-      shaped_inputs_via
-        ~arrival_out_of:(fun i -> Timing_arena.arrival_out arena (fanin_exn i))
-        ~slew_of:(fun i -> Timing_arena.slew arena (fanin_exn i))
-        ~default_slew ?cache ?pi frozen id
-    in
-    let report =
-      match cache with
-      | None -> Tqwm_core.Qwm.run ~model ~config scenario
-      | Some c -> Stage_cache.run c ~model ~config scenario
-    in
-    let t = timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report in
-    Timing_arena.store arena id ~arrival_in:t.arrival_in ~delay:t.delay ~slew:t.slew
-      ~arrival_out:t.arrival_out
-      ~critical_fanin:(match critical_fanin with None -> -1 | Some s -> s);
-    Timing_arena.put_output arena id report.Tqwm_core.Qwm.output;
-    t
-  in
-  if not (Trace.enabled ()) then ignore (inner ())
-  else begin
-    let t0 = Trace.now () in
-    let t = inner () in
-    Trace.complete
-      ~name:frozen.Timing_graph.scenarios.(id).Scenario.name ~cat:"sta.stage" ~ts:t0
-      ~dur:(Trace.now () -. t0)
-      ~args:
-        [
-          ("stage", Json.Int id);
-          ("arrival_in_ps", Json.Float (t.arrival_in *. 1e12));
-          ("delay_ps", Json.Float (t.delay *. 1e12));
-          ("slew_ps", Json.Float (t.slew *. 1e12));
-          ("arrival_out_ps", Json.Float (t.arrival_out *. 1e12));
-        ]
-      ()
-  end
-
-let timing_of_arena arena id =
-  {
-    id;
-    arrival_in = Timing_arena.arrival_in arena id;
-    delay = Timing_arena.delay arena id;
-    slew = Timing_arena.slew arena id;
-    arrival_out = Timing_arena.arrival_out arena id;
-    critical_fanin =
-      (match Timing_arena.critical_fanin arena id with
-      | -1 -> None
-      | s -> Some s);
-  }
-
 let analysis_of_timings timings =
   let worst =
     Array.fold_left
@@ -354,20 +275,16 @@ let analysis_of_timings timings =
     in
     { timings; critical_path = walk sink []; worst_arrival = sink.arrival_out }
 
-let analysis_of_arena arena =
-  analysis_of_timings
-    (Array.init (Timing_arena.length arena) (fun id -> timing_of_arena arena id))
-
-let propagate_arena ~model ?(config = Tqwm_core.Config.default)
-    ?(default_slew = 20e-12) ?cache ?pi graph =
+(* Time every stage in schedule order: each stage's fanins sit in earlier
+   levels, so their timings are always filled before they are read. *)
+let propagate ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12)
+    ?cache ?pi graph =
   if default_slew <= 0.0 then invalid_arg "Arrival.propagate: default_slew <= 0";
   let frozen = Timing_graph.freeze graph in
-  let arena = Timing_arena.create frozen in
+  let timings = Array.make (Array.length frozen.Timing_graph.scenarios) None in
   Array.iter
-    (fun id -> evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi frozen arena id)
+    (fun id ->
+      timings.(id) <-
+        Some (evaluate_stage ~model ~config ~default_slew ?cache ?pi frozen timings id))
     frozen.Timing_graph.order;
-  Timing_arena.seal arena;
-  (analysis_of_arena arena, arena)
-
-let propagate ~model ?config ?default_slew ?cache ?pi graph =
-  fst (propagate_arena ~model ?config ?default_slew ?cache ?pi graph)
+  analysis_of_timings (Array.map Option.get timings)

@@ -5,8 +5,10 @@
     matching the driving stage's output slew (waveform information the
     paper argues plain delay/slope STA loses); arrival times accumulate
     along the worst path. Propagation runs over the graph's frozen
-    indexed form; {!Parallel.propagate} evaluates topological levels
-    concurrently and produces identical results. *)
+    indexed form and stores each stage's result in one
+    [stage_timing option array] slot, filled by {!evaluate_stage};
+    {!Parallel.propagate} fills the same store from concurrent
+    work-stealing chunks and produces identical results. *)
 
 exception Analysis_failure of string
 
@@ -53,7 +55,8 @@ val propagate :
     slew. When [cache] is given, per-stage QWM solves are memoized and
     driving slews (including {!pi_timing} slews) are quantized to the
     cache's bucket (see {!Stage_cache.bucket_slew}), so repeated gates
-    are solved once. [pi] retimes primary-input stages. *)
+    are solved once. [pi] retimes primary-input stages. Stages are
+    timed one at a time in the frozen schedule's order. *)
 
 (** {2 Building blocks shared with the parallel and incremental engines} *)
 
@@ -79,44 +82,6 @@ val analysis_of_timings : stage_timing array -> analysis
 (** Worst arrival and critical-path walk over completed per-stage
     timings (indexed by stage id). *)
 
-(** {2 Arena-backed propagation}
-
-    The engines' hot path: fanin timings are read from, and results
-    stored into, a {!Timing_arena}'s contiguous columns — no per-stage
-    boxed records until the final analysis is materialized. Values are
-    bit-identical to the boxed building blocks above. *)
-
-val evaluate_stage_arena :
-  model:Tqwm_device.Device_model.t ->
-  config:Tqwm_core.Config.t ->
-  default_slew:float ->
-  ?cache:Stage_cache.t ->
-  ?pi:pi_timing option array ->
-  Timing_graph.frozen ->
-  Timing_arena.t ->
-  Timing_graph.stage_id ->
-  unit
-(** {!evaluate_stage} reading fanins from and storing into the arena
-    (timing columns and output waveform stash).
-    @raise Analysis_failure if a fanin stage has no timing yet. *)
-
-val timing_of_arena : Timing_arena.t -> Timing_graph.stage_id -> stage_timing
-(** Materialize one stage's boxed timing record from the arena columns. *)
-
-val analysis_of_arena : Timing_arena.t -> analysis
-(** {!analysis_of_timings} over every arena slot (all must be stored). *)
-
-val propagate_arena :
-  model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
-  ?default_slew:float ->
-  ?cache:Stage_cache.t ->
-  ?pi:pi_timing option array ->
-  Timing_graph.t ->
-  analysis * Timing_arena.t
-(** {!propagate}, additionally returning the sealed arena (packed
-    per-level waveform slabs, see {!Timing_arena.level_digest}). *)
-
 val replay_stage :
   model:Tqwm_device.Device_model.t ->
   config:Tqwm_core.Config.t ->
@@ -139,14 +104,6 @@ val replay_stage :
     [timings] must hold the timings of [id]'s fanins. *)
 
 (** {2 Required times and slack} *)
-
-type slack_report = {
-  required : float array;
-      (** latest allowed output arrival per stage (backward-propagated
-          from [clock_period] at the sinks) *)
-  slack : float array;  (** [required - arrival_out]; negative = violation *)
-  worst_slack : float;
-}
 
 type required_report = {
   clock_period : float;
@@ -176,7 +133,3 @@ val required : Timing_graph.t -> analysis -> clock_period:float -> required_repo
     the [sta.endpoint_slack_ps] histogram to {!Tqwm_obs.Metrics}.
     @raise Invalid_argument when [clock_period] is non-positive or not
     finite, or when [analysis] has a different stage count than [graph]. *)
-
-val slacks : Timing_graph.t -> analysis -> clock_period:float -> slack_report
-(** {!required} restricted to its classic per-stage view (kept for
-    existing callers). Same validation, same numbers. *)

@@ -4,7 +4,6 @@ module Json = Tqwm_obs.Json
 module Alloc = Tqwm_obs.Alloc
 
 let c_propagations = Metrics.counter "sta.parallel_propagations"
-let c_wait_ns = Metrics.counter "sta.ready_wait_ns"
 let c_steals = Metrics.counter "sta.steals"
 let c_chunks = Metrics.counter "sta.chunks"
 
@@ -12,10 +11,6 @@ let c_chunks = Metrics.counter "sta.chunks"
 let h_worker_stages =
   Metrics.histogram "sta.stages_per_worker"
     ~bounds:[| 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0 |]
-
-let h_wait_us =
-  Metrics.histogram "sta.ready_wait_us_per_worker"
-    ~bounds:[| 1.0; 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0; 1_000_000.0 |]
 
 let h_chunks_per_worker =
   Metrics.histogram "sta.chunks_per_worker"
@@ -33,140 +28,13 @@ let h_occupancy =
 
 let default_domains () = Domain.recommended_domain_count ()
 
-type scheduler = Ready_queue | Work_stealing
-
-let scheduler_name = function
-  | Ready_queue -> "ready"
-  | Work_stealing -> "steal"
-
-let scheduler_of_string = function
-  | "ready" -> Some Ready_queue
-  | "steal" -> Some Work_stealing
-  | _ -> None
-
 (* Default chunk size: aim for a handful of chunks per domain on the
    widest level, so load imbalance can be stolen away while the per-chunk
    scheduling cost is amortized over several solves. *)
 let auto_chunk ~domains ~width = max 1 (min 32 (width / (4 * domains)))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy ready-queue scheduler (kept for A/B comparison via
-   [~scheduler:Ready_queue]): per-stage fanin counters feed a shared
-   mutex-protected queue. Synchronization is paid per stage, which is
-   why it loses once individual solves are cheap. *)
-
-(* Shared scheduler state. [remaining], [ready], [pending] and [failed]
-   are only touched under [mutex]; per-stage timing slots are written by
-   exactly one worker and only read by workers that popped a dependent
-   stage from the queue afterwards, so the mutex orders every cross-domain
-   read after its write. *)
-type shared = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  ready : Timing_graph.stage_id Queue.t;
-  remaining : int array;  (** un-timed fanin stages per stage *)
-  mutable pending : int;  (** stages not yet timed *)
-  mutable failed : exn option;
-}
-
-let worker ~eval (frozen : Timing_graph.frozen)
-    (timings : Arrival.stage_timing option array) s =
-  let t_start = Trace.now () in
-  let stages_done = ref 0 in
-  let wait_seconds = ref 0.0 in
-  let rec take () =
-    (* called with the mutex held *)
-    if s.failed <> None || s.pending = 0 then None
-    else if Queue.is_empty s.ready then begin
-      let t0 = Trace.now () in
-      Condition.wait s.cond s.mutex;
-      wait_seconds := !wait_seconds +. (Trace.now () -. t0);
-      take ()
-    end
-    else Some (Queue.pop s.ready)
-  in
-  let retire () =
-    Alloc.flush_domain ();
-    Metrics.observe h_worker_stages (float_of_int !stages_done);
-    Metrics.observe h_wait_us (!wait_seconds *. 1e6);
-    Metrics.add c_wait_ns (int_of_float (!wait_seconds *. 1e9));
-    Trace.complete ~name:"sta.worker" ~cat:"sta" ~ts:t_start
-      ~dur:(Trace.now () -. t_start)
-      ~args:
-        [
-          ("scheduler", Json.String "ready");
-          ("stages", Json.Int !stages_done);
-          ("ready_wait_ms", Json.Float (!wait_seconds *. 1e3));
-        ]
-      ()
-  in
-  let rec loop () =
-    Mutex.lock s.mutex;
-    match take () with
-    | None ->
-      Condition.broadcast s.cond;
-      Mutex.unlock s.mutex;
-      retire ()
-    | Some id ->
-      Mutex.unlock s.mutex;
-      incr stages_done;
-      (match eval id with
-      | exception e ->
-        Mutex.lock s.mutex;
-        if s.failed = None then s.failed <- Some e;
-        Condition.broadcast s.cond;
-        Mutex.unlock s.mutex;
-        retire ()
-      | t ->
-        timings.(id) <- Some t;
-        Mutex.lock s.mutex;
-        s.pending <- s.pending - 1;
-        let released = ref 0 in
-        Array.iter
-          (fun (c : Timing_graph.connection) ->
-            let j = c.Timing_graph.to_stage in
-            s.remaining.(j) <- s.remaining.(j) - 1;
-            if s.remaining.(j) = 0 then begin
-              Queue.push j s.ready;
-              incr released
-            end)
-          frozen.Timing_graph.fanout.(id);
-        (* wake exactly as many sleepers as there is new work for; the
-           final completion must wake everyone so the team can retire *)
-        if s.pending = 0 then Condition.broadcast s.cond
-        else for _ = 1 to !released do Condition.signal s.cond done;
-        Mutex.unlock s.mutex;
-        loop ())
-  in
-  loop ()
-
-let propagate_ready ~eval frozen timings ~domains n =
-  let s =
-    {
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      ready = Queue.create ();
-      remaining = Array.init n (fun i -> Array.length frozen.Timing_graph.fanin.(i));
-      pending = n;
-      failed = None;
-    }
-  in
-  Array.iter (fun i -> if s.remaining.(i) = 0 then Queue.push i s.ready)
-    frozen.Timing_graph.order;
-  (* hand the spawner's trace context (request/session ids) to each
-     worker domain so stage spans stay attributable *)
-  let ctx = Trace.current_context () in
-  let team =
-    Array.init (min (domains - 1) (max (n - 1) 0)) (fun _ ->
-        Domain.spawn (fun () ->
-            Trace.with_context ctx (fun () -> worker ~eval frozen timings s)))
-  in
-  worker ~eval frozen timings s;
-  Array.iter Domain.join team;
-  match s.failed with Some e -> raise e | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Level-batched work-stealing scheduler (the default).
+(* Level-batched work-stealing scheduler.
 
    The frozen level schedule is partitioned into contiguous chunks of
    independent stages ({!Timing_graph.level_chunks}); per level, the
@@ -351,7 +219,6 @@ let steal_worker ~exec_chunk s w =
   Trace.complete ~name:"sta.worker" ~cat:"sta" ~ts:t_start ~dur:wall
     ~args:
       [
-        ("scheduler", Json.String "steal");
         ("stages", Json.Int !stages);
         ("chunks", Json.Int !chunks);
         ("steals", Json.Int !steals);
@@ -389,6 +256,8 @@ let run_stealing ~domains ~exec_chunk ~chunks =
       gate_cond = Condition.create ();
     }
   in
+  (* hand the spawner's trace context (request/session ids) to each
+     worker domain so stage spans stay attributable *)
   let ctx = Trace.current_context () in
   let team =
     Array.init (teams - 1) (fun i ->
@@ -437,9 +306,8 @@ let evaluate_stages ~domains ?chunk ~eval ids =
     Array.map Option.get results
   end
 
-let propagate_arena ~model ?(config = Tqwm_core.Config.default)
-    ?(default_slew = 20e-12) ?cache ?pi ?domains ?(scheduler = Work_stealing) ?chunk
-    graph =
+let propagate ~model ?(config = Tqwm_core.Config.default) ?(default_slew = 20e-12)
+    ?cache ?pi ?domains ?chunk graph =
   if default_slew <= 0.0 then invalid_arg "Parallel.propagate: default_slew <= 0";
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Parallel.propagate: chunk < 1"
@@ -447,8 +315,7 @@ let propagate_arena ~model ?(config = Tqwm_core.Config.default)
   let domains =
     match domains with Some d -> max d 1 | None -> default_domains ()
   in
-  if domains = 1 then
-    Arrival.propagate_arena ~model ~config ~default_slew ?cache ?pi graph
+  if domains = 1 then Arrival.propagate ~model ~config ~default_slew ?cache ?pi graph
   else begin
     let frozen = Timing_graph.freeze graph in
     let n = Array.length frozen.Timing_graph.scenarios in
@@ -462,49 +329,27 @@ let propagate_arena ~model ?(config = Tqwm_core.Config.default)
     Trace.with_span ~name:"sta.propagate" ~cat:"sta"
       ~args:
         [
-          ("scheduler", Json.String (scheduler_name scheduler));
           ("domains", Json.Int domains);
           ("stages", Json.Int n);
           ("chunk", Json.Int chunk_size);
         ]
       (fun () ->
-        let arena = Timing_arena.create frozen in
-        (match scheduler with
-        | Ready_queue ->
-          (* legacy engine: per-stage handoff. Evaluation goes through
-             the arena (columns + waveform stash) so its sealed slabs
-             digest-match the stealing engine's; the boxed option array
-             only drives the engine's readiness bookkeeping. A fanin's
-             arena slot is published before its timing enters the boxed
-             array under the queue mutex, so readiness implies the arena
-             read is safe. *)
-          let timings = Array.make n None in
-          let eval id =
-            Arrival.evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi
-              frozen arena id;
-            Arrival.timing_of_arena arena id
-          in
-          propagate_ready ~eval frozen timings ~domains n
-        | Work_stealing ->
-          (* the batched chunk kernel: one callback per chunk runs the
-             fused loop over its adjacent stages, reading fanins from and
-             storing results into the arena's contiguous columns *)
-          let chunks = Timing_graph.level_chunks frozen ~chunk_size in
-          let exec_chunk ~level ~chunk:(c : Timing_graph.chunk) ~should_abort =
-            let items = frozen.Timing_graph.levels.(level) in
-            for i = c.Timing_graph.start to c.Timing_graph.start + c.Timing_graph.length - 1
-            do
-              if not (should_abort ()) then
-                Arrival.evaluate_stage_arena ~model ~config ~default_slew ?cache ?pi
-                  frozen arena items.(i)
-            done
-          in
-          run_stealing ~domains ~exec_chunk ~chunks);
-        Timing_arena.seal arena;
-        (Arrival.analysis_of_arena arena, arena))
+        (* each slot is written by the one worker that ran its chunk and
+           read only in later levels, after the level barrier *)
+        let timings = Array.make n None in
+        let exec_chunk ~level ~chunk:(c : Timing_graph.chunk) ~should_abort =
+          let items = frozen.Timing_graph.levels.(level) in
+          for i = c.Timing_graph.start to c.Timing_graph.start + c.Timing_graph.length - 1 do
+            if not (should_abort ()) then begin
+              let id = items.(i) in
+              timings.(id) <-
+                Some
+                  (Arrival.evaluate_stage ~model ~config ~default_slew ?cache ?pi frozen
+                     timings id)
+            end
+          done
+        in
+        run_stealing ~domains ~exec_chunk
+          ~chunks:(Timing_graph.level_chunks frozen ~chunk_size);
+        Arrival.analysis_of_timings (Array.map Option.get timings))
   end
-
-let propagate ~model ?config ?default_slew ?cache ?pi ?domains ?scheduler ?chunk graph =
-  fst
-    (propagate_arena ~model ?config ?default_slew ?cache ?pi ?domains ?scheduler ?chunk
-       graph)

@@ -4,52 +4,36 @@
     solves are independent — the same coarse-grain parallelism
     transistor-level simulators exploit when partitioning a design into
     channel-connected sub-structures. One team of OCaml 5 domains is
-    spawned per propagation and scheduled by one of two engines:
-
-    {ul
-    {- {!Work_stealing} (the default): the frozen level schedule is cut
-       into contiguous chunks of independent stages
-       ({!Timing_graph.level_chunks}); per level the chunks are dealt
-       round-robin into one Chase-Lev-style deque per domain — the owner
-       pops LIFO at the bottom, idle domains steal FIFO at the top with
-       a single compare-and-set. Synchronization cost is paid per chunk
-       (amortized over [chunk] solves) instead of per stage, and levels
-       are separated by a bounded-spin barrier that falls back to a
-       condition variable, so oversubscribed machines yield instead of
-       burning the core.}
-    {- {!Ready_queue} (legacy, kept for A/B measurement): a shared
-       mutex-protected queue driven by per-stage fanin counters; a stage
-       becomes ready the moment its last fanin is timed. Handoff cost is
-       paid per stage, which dominates once individual solves are
-       cheap.}}
+    spawned per propagation and scheduled by level-batched work
+    stealing: the frozen level schedule is cut into contiguous chunks of
+    independent stages ({!Timing_graph.level_chunks}); per level the
+    chunks are dealt round-robin into one Chase-Lev-style deque per
+    domain — the owner pops LIFO at the bottom, idle domains steal FIFO
+    at the top with a single compare-and-set. Synchronization cost is
+    paid per chunk (amortized over [chunk] solves) instead of per stage,
+    and levels are separated by a bounded-spin barrier that falls back
+    to a condition variable, so oversubscribed machines yield instead of
+    burning the core. Each chunk stores its stages' results into the
+    same [stage_timing option array] that sequential
+    {!Arrival.propagate} fills, through the same {!Arrival.evaluate_stage}.
 
     Determinism: a stage's timing depends only on its fanin timings (see
     {!Arrival.evaluate_stage}), all of which belong to strictly earlier
     levels and are published before the level barrier opens, so results
     are bit-identical to sequential {!Arrival.propagate} for every
-    domain count, scheduler, and chunk size, with or without a shared
-    {!Stage_cache} — asserted in [test/test_parallel.ml] (including a
-    QCheck property randomizing stage costs to force steals) and
-    system-wide by the accuracy-audit drift gate.
+    domain count and chunk size, with or without a shared
+    {!Stage_cache} — asserted in [test/test_parallel.ml] (including
+    QCheck properties randomizing stage costs to force steals and
+    randomizing domains and chunk sizes) and system-wide by the
+    accuracy-audit drift gate.
 
-    Telemetry: the stealing engine feeds [sta.steals] / [sta.chunks]
-    counters plus per-domain [sta.chunks_per_worker],
-    [sta.steals_per_worker] and [sta.worker_occupancy_pct] histograms;
-    the legacy engine keeps the [sta.ready_wait_*] story. *)
+    Telemetry: [sta.steals] / [sta.chunks] counters plus per-domain
+    [sta.stages_per_worker], [sta.chunks_per_worker],
+    [sta.steals_per_worker] and [sta.worker_occupancy_pct] histograms,
+    and one [sta.worker] trace span per domain. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
-
-type scheduler =
-  | Ready_queue  (** per-stage shared ready queue (legacy, for A/B) *)
-  | Work_stealing  (** level-batched chunk deques with stealing (default) *)
-
-val scheduler_name : scheduler -> string
-(** ["ready"] / ["steal"] — the names used by [qwm_sim --scheduler] and
-    recorded in [tqwm-bench-parallel/2] ledger records. *)
-
-val scheduler_of_string : string -> scheduler option
-(** Inverse of {!scheduler_name}. *)
 
 val propagate :
   model:Tqwm_device.Device_model.t ->
@@ -58,39 +42,18 @@ val propagate :
   ?cache:Stage_cache.t ->
   ?pi:Arrival.pi_timing option array ->
   ?domains:int ->
-  ?scheduler:scheduler ->
   ?chunk:int ->
   Timing_graph.t ->
   Arrival.analysis
 (** Like {!Arrival.propagate}, evaluated concurrently by [domains]
     domains in total, the calling one included (default
-    {!default_domains}; values [<= 1] fall back to the sequential path).
-    [scheduler] picks the engine (default {!Work_stealing}); [chunk] is
-    the stealing engine's stages-per-chunk batch size (default: sized so
-    the widest level yields a few chunks per domain; values larger than
-    a level's width leave that level as one chunk). A given [cache] is
+    {!default_domains}; values [<= 1] delegate to {!Arrival.propagate}).
+    [chunk] is the stages-per-chunk batch size (default: sized so the
+    widest level yields a few chunks per domain; values larger than a
+    level's width leave that level as one chunk). A given [cache] is
     shared by the whole team. The first exception raised by any worker
     is re-raised after the team is joined.
     @raise Invalid_argument when [default_slew <= 0] or [chunk < 1]. *)
-
-val propagate_arena :
-  model:Tqwm_device.Device_model.t ->
-  ?config:Tqwm_core.Config.t ->
-  ?default_slew:float ->
-  ?cache:Stage_cache.t ->
-  ?pi:Arrival.pi_timing option array ->
-  ?domains:int ->
-  ?scheduler:scheduler ->
-  ?chunk:int ->
-  Timing_graph.t ->
-  Arrival.analysis * Timing_arena.t
-(** {!propagate}, additionally returning the sealed {!Timing_arena}.
-    With {!Work_stealing} each chunk runs as one batched kernel: its
-    adjacent stages are evaluated in a fused loop reading fanins from and
-    storing into the arena's contiguous columns, and [seal] packs every
-    level's output waveforms into one slab whose
-    {!Timing_arena.level_digest} is equal across schedulers, domain
-    counts and chunk sizes. *)
 
 val evaluate_stages :
   domains:int ->
@@ -101,7 +64,7 @@ val evaluate_stages :
 (** Evaluate stages that are already known mutually independent (one
     topological level, every fanin timed) on up to [domains] domains,
     returning timings in input order. The input is treated as a single
-    synthetic level of the work-stealing scheduler, so unequal stage
+    synthetic level of the scheduler, so unequal stage
     costs are balanced by steals instead of hoping a static split lands
     evenly. [eval] must be safe to call from any domain
     ({!Arrival.evaluate_stage} over a frozen graph is). Results are

@@ -22,7 +22,7 @@ type t = {
   (* per-key request counts: how many [run] calls asked for each key,
      hits and misses alike. The total per key is a property of the work
      submitted, not of scheduling, so it is deterministic across domain
-     counts and schedulers — the provenance path-explain reports lean on. *)
+     counts and chunk sizes — the provenance path-explain reports lean on. *)
   uses : (string, int) Hashtbl.t;
   lock : Mutex.t;
   cond : Condition.t;
@@ -76,9 +76,8 @@ let bucket_slew t s =
    model name enters the key, so a cache must not be shared between
    models that answer differently under the same name. The initial-bias
    vector is the one bulk-numeric field: it is hashed as its raw float64
-   bits directly (the same flat encoding the timing arena digests use)
-   instead of having Marshal walk a boxed float array, and spliced into
-   the digest alongside the structural remainder. *)
+   bits directly instead of having Marshal walk a boxed float array, and
+   spliced into the digest alongside the structural remainder. *)
 let fingerprint ~model ~config scenario =
   let initial = scenario.Tqwm_circuit.Scenario.initial in
   let n = Array.length initial in

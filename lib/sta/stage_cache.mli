@@ -15,9 +15,9 @@
     block until the report lands, so a stage is never solved twice and
     the miss count is deterministic — a parallel run reports exactly the
     misses (one per distinct stage) of the sequential run. This holds
-    under both {!Parallel} schedulers: a work-stealing worker that
-    blocks on an in-flight key simply sleeps inside its current chunk
-    while the level's other chunks remain stealable by the rest of the
+    under {!Parallel}'s work stealing: a worker that blocks on an
+    in-flight key simply sleeps inside its current chunk while the
+    level's other chunks remain stealable by the rest of the
     team. Cached reports are immutable and safe to share across
     domains.
 
@@ -99,7 +99,7 @@ val uses :
 (** How many {!run} calls requested this scenario's key (hits and misses
     alike; 0 = never requested). The count reflects the work submitted,
     not the scheduling, so it is identical across domain counts and
-    schedulers; {!peek} and [uses] itself leave it untouched. *)
+    chunk sizes; {!peek} and [uses] itself leave it untouched. *)
 
 val stats : t -> stats
 

@@ -82,14 +82,17 @@ let fanin t id = if id < 0 || id >= t.count then [] else List.rev t.fanin_rev.(i
 
 let fanout t id = if id < 0 || id >= t.count then [] else List.rev t.fanout_rev.(id)
 
-(* would [dst] be reachable from [src] through existing fanout edges? *)
+(* would [dst] be reachable from [src] through existing fanout edges?
+   The visited set holds only the stages the search reaches, so a check
+   that stops after a few stages costs a few words, not a graph-sized
+   array on every [connect]. *)
 let reaches t ~src ~dst =
-  let seen = Array.make t.count false in
+  let seen = Hashtbl.create 8 in
   let rec go id =
     if id = dst then true
-    else if seen.(id) then false
+    else if Hashtbl.mem seen id then false
     else begin
-      seen.(id) <- true;
+      Hashtbl.add seen id ();
       List.exists (fun c -> go c.to_stage) t.fanout_rev.(id)
     end
   in

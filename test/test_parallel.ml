@@ -170,16 +170,8 @@ let test_steal_identical_many_domains () =
   let seq = propagate ~domains:1 graph in
   List.iter
     (fun domains ->
-      check_identical
-        (Printf.sprintf "steal, %d domains" domains)
-        seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains
-           ~scheduler:Parallel.Work_stealing graph);
-      check_identical
-        (Printf.sprintf "ready, %d domains" domains)
-        seq
-        (Parallel.propagate ~model:(Lazy.force table) ~domains
-           ~scheduler:Parallel.Ready_queue graph))
+      check_identical (Printf.sprintf "%d domains" domains) seq
+        (propagate ~domains graph))
     [ 2; 4; 8 ]
 
 let test_chunk_size_edges () =
@@ -249,102 +241,28 @@ let prop_evaluate_stages_identical =
       let expected = Array.init n fabricated_timing in
       Parallel.evaluate_stages ~domains ~chunk ~eval (Array.init n Fun.id) = expected)
 
-let test_scheduler_names () =
-  Alcotest.(check string) "steal" "steal"
-    (Parallel.scheduler_name Parallel.Work_stealing);
-  Alcotest.(check string) "ready" "ready"
-    (Parallel.scheduler_name Parallel.Ready_queue);
-  Alcotest.(check bool) "round-trip" true
-    (Parallel.scheduler_of_string "steal" = Some Parallel.Work_stealing
-    && Parallel.scheduler_of_string "ready" = Some Parallel.Ready_queue
-    && Parallel.scheduler_of_string "fifo" = None)
+(* One graph with its sequential analyses, uncached and through a fresh
+   cache; the parallel runs below must reproduce them bit for bit. *)
+let random_run =
+  lazy
+    (let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
+     ( graph,
+       propagate ~domains:1 graph,
+       propagate ~cache:(Stage_cache.create ()) ~domains:1 graph ))
 
-(* ---------- timing arena ---------- *)
-
-module Timing_arena = Tqwm_sta.Timing_arena
-
-let check_level_digests what graph (a : Timing_arena.t) (b : Timing_arena.t) =
-  Array.iteri
-    (fun k _ ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: level %d slab digest" what k)
-        (Timing_arena.level_digest a k)
-        (Timing_arena.level_digest b k))
-    (Timing_graph.levels graph)
-
-let test_arena_race_four_domains () =
-  (* four domains store into disjoint slots of one shared arena; any
-     torn or misplaced store corrupts a level slab, which the digest
-     comparison against the sequential arena catches *)
-  let graph = Workloads.decoder_tree ~fanout:3 ~depth:2 tech in
-  let model = Lazy.force table in
-  let seq, seq_arena = Arrival.propagate_arena ~model graph in
-  List.iter
-    (fun (scheduler, chunk) ->
-      let par, par_arena =
-        Parallel.propagate_arena ~model ~domains:4 ~scheduler ?chunk graph
-      in
-      let what =
-        Printf.sprintf "4 domains, %s%s"
-          (Parallel.scheduler_name scheduler)
-          (match chunk with Some c -> Printf.sprintf ", chunk %d" c | None -> "")
-      in
-      check_identical what seq par;
-      check_level_digests what graph seq_arena par_arena)
-    [
-      (Parallel.Work_stealing, None);
-      (Parallel.Work_stealing, Some 1);
-      (Parallel.Ready_queue, None);
-    ]
-
-let test_arena_reuse_and_seal_idempotent () =
-  let graph = Workloads.diamond tech in
-  let model = Lazy.force table in
-  let frozen = Timing_graph.freeze graph in
-  (* repeated propagations over one graph build fresh arenas with
-     bit-identical slabs *)
-  let _, a = Arrival.propagate_arena ~model graph in
-  let _, b = Arrival.propagate_arena ~model graph in
-  check_level_digests "repeated propagation" graph a b;
-  (* sealing an already-sealed arena is a no-op: digests survive *)
-  let d0 = Timing_arena.level_digest a 0 in
-  Timing_arena.seal a;
-  Alcotest.(check string) "re-seal keeps digests" d0 (Timing_arena.level_digest a 0);
-  (* slot reuse: a re-stored slot keeps the last write, untouched slots
-     stay empty *)
-  let m = Timing_arena.create frozen in
-  Alcotest.(check int) "sized for the graph" (Timing_graph.num_stages graph)
-    (Timing_arena.length m);
-  Timing_arena.store m 0 ~arrival_in:1.0 ~delay:2.0 ~slew:3.0 ~arrival_out:9.0
-    ~critical_fanin:(-1);
-  Timing_arena.store m 0 ~arrival_in:0.5 ~delay:1.5 ~slew:2.5 ~arrival_out:2.0
-    ~critical_fanin:(-1);
-  Alcotest.(check bool) "stored slot present" true (Timing_arena.has m 0);
-  Alcotest.(check (float 0.0)) "overwrite wins" 2.0 (Timing_arena.arrival_out m 0);
-  Alcotest.(check int) "PI critical fanin" (-1) (Timing_arena.critical_fanin m 0);
-  Alcotest.(check bool) "untouched slot empty" false (Timing_arena.has m 1)
-
-let prop_arena_digests_stable =
+let prop_propagate_identical =
   QCheck2.Test.make
-    ~name:"arena slab digests identical across domains, chunks and schedulers"
-    ~count:8
+    ~name:"propagate bit-identical over random domains and chunks" ~count:12
     QCheck2.Gen.(triple (int_range 1 6) (int_range 1 6) bool)
-    (fun (domains, chunk, steal) ->
-      let graph = Workloads.decoder_tree ~fanout:2 ~depth:2 tech in
-      let model = Lazy.force table in
-      let scheduler =
-        if steal then Parallel.Work_stealing else Parallel.Ready_queue
-      in
-      let _, ref_arena = Arrival.propagate_arena ~model graph in
-      let _, arena =
-        Parallel.propagate_arena ~model ~domains ~scheduler ~chunk graph
-      in
-      Array.for_all
-        (fun k ->
-          String.equal
-            (Timing_arena.level_digest ref_arena k)
-            (Timing_arena.level_digest arena k))
-        (Array.init (Array.length (Timing_graph.levels graph)) Fun.id))
+    (fun (domains, chunk, cached) ->
+      let graph, plain, with_cache = Lazy.force random_run in
+      let cache = if cached then Some (Stage_cache.create ()) else None in
+      check_identical
+        (Printf.sprintf "%d domains, chunk %d%s" domains chunk
+           (if cached then ", shared cache" else ""))
+        (if cached then with_cache else plain)
+        (Parallel.propagate ~model:(Lazy.force table) ?cache ~domains ~chunk graph);
+      true)
 
 (* ---------- slack over a chain ---------- *)
 
@@ -352,10 +270,10 @@ let test_chain_slack_identity () =
   let graph = Workloads.chain ~n:3 tech in
   let analysis = propagate ~domains:2 graph in
   let clock_period = 1e-9 in
-  let report = Arrival.slacks graph analysis ~clock_period in
+  let report = Arrival.required graph analysis ~clock_period in
   Alcotest.(check (float 1e-15)) "worst slack = clock_period - worst_arrival"
     (clock_period -. analysis.Arrival.worst_arrival)
-    report.Arrival.worst_slack
+    report.Arrival.req_worst_slack
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -375,22 +293,15 @@ let () =
         ] );
       ( "work stealing",
         [
-          slow "bit-identical at 2/4/8 domains, both schedulers"
+          slow "bit-identical at 2/4/8 domains, default chunk"
             test_steal_identical_many_domains;
           slow "chunk size edge cases" test_chunk_size_edges;
           quick "chunk validation" test_chunk_validation;
-          quick "scheduler names" test_scheduler_names;
           slow "imbalance forces steals" test_steals_on_imbalance;
           QCheck_alcotest.to_alcotest prop_evaluate_stages_identical;
+          QCheck_alcotest.to_alcotest prop_propagate_identical;
         ] );
       ( "stage cache",
         [ quick "bucketing and fingerprints" test_cache_bucketing ] );
-      ( "timing arena",
-        [
-          slow "4-domain slab digests match sequential" test_arena_race_four_domains;
-          quick "reuse, overwrite and idempotent seal"
-            test_arena_reuse_and_seal_idempotent;
-          QCheck_alcotest.to_alcotest prop_arena_digests_stable;
-        ] );
       ("slack", [ slow "chain identity" test_chain_slack_identity ]);
     ]

@@ -41,7 +41,38 @@ let test_cycle_rejected () =
   let graph, a, b = inverter_pair () in
   Alcotest.check_raises "cycle"
     (Invalid_argument "Timing_graph.connect: cycle detected") (fun () ->
-      Timing_graph.connect graph ~from_stage:b ~to_stage:a ~input:"a1")
+      Timing_graph.connect graph ~from_stage:b ~to_stage:a ~input:"a1");
+  (* a back edge closing a long chain is found however deep the search *)
+  let chain = Workloads.chain ~n:1200 tech in
+  let last = Timing_graph.num_stages chain - 1 in
+  Alcotest.check_raises "long-chain cycle"
+    (Invalid_argument "Timing_graph.connect: cycle detected") (fun () ->
+      Timing_graph.connect chain ~from_stage:last ~to_stage:0 ~input:"a1");
+  Alcotest.(check int) "rejected edge not inserted" last
+    (Timing_graph.num_connections chain)
+
+(* Words allocated by [connect] while growing an [n]-stage chain, per
+   edge. Minor and major words both count: a graph-sized scratch array
+   above the minor-heap size limit goes straight to the major heap. *)
+let connect_words_per_edge n =
+  let graph = Timing_graph.create () in
+  let inv = Scenario.inverter_falling tech in
+  let ids = Array.init n (fun _ -> Timing_graph.add_stage graph inv) in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  for i = 1 to n - 1 do
+    Timing_graph.connect graph ~from_stage:ids.(i - 1) ~to_stage:ids.(i) ~input:"a1"
+  done;
+  (allocated () -. w0) /. float_of_int (n - 1)
+
+let test_connect_allocation_flat () =
+  let small = connect_words_per_edge 500 and large = connect_words_per_edge 4000 in
+  if large > 2.0 *. small then
+    Alcotest.failf "connect allocates %.0f words/edge at 4000 stages vs %.0f at 500"
+      large small
 
 let test_fan_queries () =
   let graph, a, b = inverter_pair () in
@@ -95,24 +126,24 @@ let test_slack_computation () =
   let graph, a, b = inverter_pair () in
   let analysis = Arrival.propagate ~model:(Lazy.force table) graph in
   let clock_period = 1e-9 in
-  let report = Arrival.slacks graph analysis ~clock_period in
+  let report = Arrival.required graph analysis ~clock_period in
   (* sink: required = clock period *)
-  Alcotest.(check (float 1e-18)) "sink required" clock_period report.Arrival.required.(b);
+  Alcotest.(check (float 1e-18)) "sink required" clock_period report.Arrival.req.(b);
   (* driver: required shrinks by the sink's stage delay *)
   Alcotest.(check (float 1e-15)) "driver required"
     (clock_period -. analysis.Arrival.timings.(b).Arrival.delay)
-    report.Arrival.required.(a);
+    report.Arrival.req.(a);
   (* slack identity and consistency: both stages on one path share slack *)
   Alcotest.(check (float 1e-15)) "slack identity"
-    (report.Arrival.required.(b) -. analysis.Arrival.timings.(b).Arrival.arrival_out)
-    report.Arrival.slack.(b);
+    (report.Arrival.req.(b) -. analysis.Arrival.timings.(b).Arrival.arrival_out)
+    report.Arrival.req_slack.(b);
   Alcotest.(check (float 1e-12)) "single path: equal slacks"
-    report.Arrival.slack.(a) report.Arrival.slack.(b);
-  Alcotest.(check (float 1e-12)) "worst slack" report.Arrival.slack.(b)
-    report.Arrival.worst_slack;
+    report.Arrival.req_slack.(a) report.Arrival.req_slack.(b);
+  Alcotest.(check (float 1e-12)) "worst slack" report.Arrival.req_slack.(b)
+    report.Arrival.req_worst_slack;
   (* a tight clock must go negative *)
-  let tight = Arrival.slacks graph analysis ~clock_period:1e-12 in
-  Alcotest.(check bool) "violation detected" true (tight.Arrival.worst_slack < 0.0)
+  let tight = Arrival.required graph analysis ~clock_period:1e-12 in
+  Alcotest.(check bool) "violation detected" true (tight.Arrival.req_worst_slack < 0.0)
 
 (* ---------- backward required-time pass ---------- *)
 
@@ -143,12 +174,15 @@ let test_required_aggregates () =
   Alcotest.(check (float 1e-18)) "wns is the endpoint slack" r.Arrival.req_slack.(b)
     r.Arrival.wns;
   Alcotest.(check (float 1e-18)) "met timing: tns zero" 0.0 r.Arrival.tns;
-  Alcotest.(check bool) "slacks agree with classic view" true
-    (let s = Arrival.slacks graph analysis ~clock_period:1e-9 in
-     s.Arrival.required = r.Arrival.req
-     && s.Arrival.slack = r.Arrival.req_slack
-     && s.Arrival.worst_slack = r.Arrival.req_worst_slack);
-  ignore a;
+  Alcotest.(check bool) "per-stage slack is required minus arrival" true
+    (Array.for_all Fun.id
+       (Array.mapi
+          (fun i (t : Arrival.stage_timing) ->
+            r.Arrival.req_slack.(i) = r.Arrival.req.(i) -. t.Arrival.arrival_out)
+          analysis.Arrival.timings));
+  Alcotest.(check (float 0.0)) "worst slack is the per-stage minimum"
+    (Float.min r.Arrival.req_slack.(a) r.Arrival.req_slack.(b))
+    r.Arrival.req_worst_slack;
   (* tight clock: single endpoint, so tns = wns < 0 *)
   let tight = Arrival.required graph analysis ~clock_period:1e-12 in
   Alcotest.(check bool) "violated" true (tight.Arrival.wns < 0.0);
@@ -387,6 +421,7 @@ let () =
           quick "topological order" test_topological_order;
           quick "connect validation" test_connect_validation;
           quick "cycle rejected" test_cycle_rejected;
+          quick "connect allocation flat in graph size" test_connect_allocation_flat;
           quick "fan queries" test_fan_queries;
         ] );
       ( "arrival",

@@ -61,10 +61,14 @@ def check_bench_parallel(record, ctx, version):
     # the oversubscription flag arrived mid-version-1; /2 requires it
     if version >= 2 or "degraded" in record:
         expect(record, "degraded", bool, ctx)
-    if version >= 2:
+    if version == 2:
         scheduler = expect(record, "scheduler", str, ctx)
         if scheduler not in ("steal", "ready"):
             fail(f"{ctx}: unknown scheduler {scheduler!r}")
+    elif version >= 3 and "scheduler" in record:
+        # /3: work stealing is the only engine, so no scheduler is named
+        fail(f"{ctx}: /3 records carry no scheduler field")
+    if version >= 2:
         chunk_size = expect(record, "chunk_size", int, ctx)
         if chunk_size < 0:
             fail(f"{ctx}: chunk_size {chunk_size} < 0 (0 means auto)")
@@ -79,9 +83,15 @@ def check_bench_parallel(record, ctx, version):
             expect(row, field, NUM, rctx)
         expect(row, "identical", bool, rctx)
         check_cache(expect(row, "cache", dict, rctx), rctx + ".cache")
-        if version >= 2:
+        if version == 2:
+            # /2 carried a ready-queue A/B column; /3 has one engine
             for field in ("ready_ms", "speedup_ready"):
                 expect(row, field, NUM, rctx)
+        elif version >= 3:
+            for field in ("ready_ms", "speedup_ready"):
+                if field in row:
+                    fail(f"{rctx}: /3 rows carry no {field!r}")
+        if version >= 2:
             for field in ("steals", "chunks"):
                 if expect(row, field, int, rctx) < 0:
                     fail(f"{rctx}: negative {field}")
@@ -108,19 +118,26 @@ def check_bench_alloc(record, ctx, version=1):
     expect(record, "smoke", bool, ctx)
     expect(record, "solves_per_mode", int, ctx)
     if version >= 2:
-        # /2 stamps the numeric-core backing store and an arena section
-        # measuring one SoA-arena propagation of a decoder tree
+        # /2 stamps the numeric-core backing store and a section measuring
+        # one sequential propagation of a decoder tree: /2 called it
+        # "arena" and counted the packed waveform floats, /3 calls it
+        # "propagation" and has no packed floats
         storage = expect(record, "storage", str, ctx)
         if storage != "bigarray-float64":
             fail(f"{ctx}: unknown storage {storage!r}")
-        arena = expect(record, "arena", dict, ctx)
-        actx = ctx + ".arena"
-        expect(arena, "workload", str, actx)
-        for field in ("stages", "levels", "packed_floats"):
-            if expect(arena, field, int, actx) <= 0:
-                fail(f"{actx}: {field} is not positive")
-        if not expect(arena, "minor_words_per_stage", NUM, actx) >= 0:
-            fail(f"{actx}: minor_words_per_stage is negative")
+        section = "arena" if version == 2 else "propagation"
+        prop = expect(record, section, dict, ctx)
+        pctx = f"{ctx}.{section}"
+        expect(prop, "workload", str, pctx)
+        fields = ("stages", "levels", "packed_floats") if version == 2 else (
+            "stages", "levels")
+        for field in fields:
+            if expect(prop, field, int, pctx) <= 0:
+                fail(f"{pctx}: {field} is not positive")
+        if version >= 3 and "packed_floats" in prop:
+            fail(f"{pctx}: /3 carries no packed_floats")
+        if not expect(prop, "minor_words_per_stage", NUM, pctx) >= 0:
+            fail(f"{pctx}: minor_words_per_stage is negative")
     scenarios = expect(record, "scenarios", list, ctx)
     if not scenarios:
         fail(f"{ctx}: empty scenarios list")
@@ -191,8 +208,7 @@ def check_incr_report(record, ctx):
 def check_timing_report(record, ctx):
     """tqwm-report/1: the k-worst-path / slack document of
     ``qwm_sim --report-timing --json`` — a pure function of the analysis,
-    so CI additionally diffs the bytes across schedulers and domain
-    counts; here we validate the shape."""
+    so CI additionally diffs the bytes across domain counts; here we validate the shape."""
     for field in ("clock_period_ps", "wns_ps", "tns_ps", "worst_slack_ps",
                   "worst_arrival_ps"):
         expect(record, field, NUM, ctx)
@@ -404,9 +420,11 @@ def check_access_log(path):
 SCHEMAS = {
     "tqwm-bench-parallel/1": lambda r, c: check_bench_parallel(r, c, 1),
     "tqwm-bench-parallel/2": lambda r, c: check_bench_parallel(r, c, 2),
+    "tqwm-bench-parallel/3": lambda r, c: check_bench_parallel(r, c, 3),
     "tqwm-bench-incr/1": check_bench_incr,
     "tqwm-bench-alloc/1": check_bench_alloc,
     "tqwm-bench-alloc/2": lambda r, c: check_bench_alloc(r, c, 2),
+    "tqwm-bench-alloc/3": lambda r, c: check_bench_alloc(r, c, 3),
     "tqwm-audit/1": check_audit,
     "tqwm-alloc-budget/1": check_alloc_budget,
     "tqwm-sta-report/1": check_sta_report,
@@ -558,6 +576,51 @@ def _alloc2_sample():
     }
 
 
+def _alloc3_sample():
+    record = _alloc2_sample()
+    record["schema"] = "tqwm-bench-alloc/3"
+    arena = record.pop("arena")
+    del arena["packed_floats"]
+    record["propagation"] = arena
+    return record
+
+
+def _parallel3_sample():
+    return {
+        "schema": "tqwm-bench-parallel/3",
+        "date": "2026-08-08",
+        "commit": "0000000",
+        "smoke": True,
+        "domains": 2,
+        "chunk_size": 0,
+        "available_cores": 2,
+        "degraded": False,
+        "workloads": [
+            {
+                "name": "decoder-tree",
+                "stages": 13,
+                "seq_ms": 6.1,
+                "par_ms": 4.0,
+                "speedup": 1.52,
+                "steals": 1,
+                "chunks": 6,
+                "degraded": False,
+                "identical": True,
+                "cache": {"hits": 9, "misses": 4, "hit_rate": 0.69},
+                "warm_ms": 0.4,
+            }
+        ],
+    }
+
+
+def _parallel2_sample():
+    record = _parallel3_sample()
+    record["schema"] = "tqwm-bench-parallel/2"
+    record["scheduler"] = "steal"
+    record["workloads"][0].update({"ready_ms": 5.0, "speedup_ready": 1.22})
+    return record
+
+
 def _access_sample():
     return {
         "ts": 1754600000.25,
@@ -606,6 +669,33 @@ def self_test():
     bad("alloc/2 missing arena", lambda r: r.pop("arena"), _alloc2_sample)
     bad("alloc/2 zero packed floats",
         lambda r: r["arena"].update({"packed_floats": 0}), _alloc2_sample)
+    cases.append(("good alloc/3 record", _alloc3_sample(), True,
+                  check_versioned))
+    bad("alloc/3 missing propagation", lambda r: r.pop("propagation"),
+        _alloc3_sample)
+    bad("alloc/3 with an arena section instead",
+        lambda r: r.update({"arena": r.pop("propagation")}), _alloc3_sample)
+    bad("alloc/3 with packed floats",
+        lambda r: r["propagation"].update({"packed_floats": 990}),
+        _alloc3_sample)
+    bad("alloc/3 zero stages",
+        lambda r: r["propagation"].update({"stages": 0}), _alloc3_sample)
+
+    cases.append(("good parallel/3 record", _parallel3_sample(), True,
+                  check_versioned))
+    cases.append(("good parallel/2 record", _parallel2_sample(), True,
+                  check_versioned))
+    bad("parallel/2 missing scheduler", lambda r: r.pop("scheduler"),
+        _parallel2_sample)
+    bad("parallel/3 with a scheduler", lambda r: r.update(
+        {"scheduler": "steal"}), _parallel3_sample)
+    bad("parallel/3 row with ready_ms", lambda r: r["workloads"][0].update(
+        {"ready_ms": 5.0}), _parallel3_sample)
+    bad("parallel/3 row missing steals",
+        lambda r: r["workloads"][0].pop("steals"), _parallel3_sample)
+    bad("parallel/3 missing chunk_size", lambda r: r.pop("chunk_size"),
+        _parallel3_sample)
+
     # alloc/1 records never carried storage/arena — they must keep
     # validating without them
     alloc1 = _alloc2_sample()
