@@ -109,7 +109,7 @@ let required graph analysis ~clock_period =
    (latest-arriving) driver's input becomes a ramp of that driver's
    bucketed slew, other driven inputs settle, everything else is left
    alone. Pure with respect to [timings] and deterministic, so the very
-   same shaped scenario (and hence cache fingerprint) is reproducible
+   same shaped scenario (and hence cache key) is reproducible
    after the fact — the contract [replay_stage] builds on. *)
 let shaped_inputs ~default_slew ?cache ?pi (frozen : Timing_graph.frozen) timings id =
   let scenario = frozen.Timing_graph.scenarios.(id) in
@@ -213,8 +213,8 @@ let evaluate_stage_inner ~model ~config ~default_slew ?cache ?pi
   timing_of_solve ~arrival_in ~input_slew ~critical_fanin scenario id report
 
 (* Re-derive a completed stage's solve without disturbing the cache:
-   shaping is deterministic, so the shaped scenario fingerprints to the
-   key the original evaluation used and [Stage_cache.peek] returns the
+   shaping is deterministic, so the shaped scenario equals the key the
+   original evaluation used and [Stage_cache.peek] returns the
    very report that produced the timing (a fresh solve only when the
    stage was never evaluated through [cache], e.g. cache-less runs). *)
 let replay_stage ~model ~config ~default_slew ?cache ?pi

@@ -95,8 +95,8 @@ val replay_stage :
 (** Re-derive one stage's solve after an analysis, for attribution:
     returns the stage timing, the full QWM report behind it (region /
     Newton counts) and the {e shaped} scenario that was actually solved
-    (ramped critical input, settled side inputs — the value whose
-    {!Stage_cache.fingerprint} keyed the solve). Input shaping is
+    (ramped critical input, settled side inputs — the value the cache
+    keyed the solve on). Input shaping is
     deterministic in [timings], so with the same [cache] the analysis
     ran with this is a {!Stage_cache.peek} of the original report — no
     new solve, no hit/miss/use accounting; without a cache the stage is

@@ -228,10 +228,10 @@ let steal_worker ~exec_chunk s w =
 
 (* Run [exec_chunk] over every chunk of the level schedule, level-batched,
    on [domains] domains (the calling one included); re-raises the first
-   worker exception after the team is joined. The chunk callback IS the
-   batched kernel: it receives a whole run of adjacent stages and loops
-   them itself (checking [should_abort] between stages), so the per-stage
-   work fuses in the caller with no per-item scheduler round-trip. *)
+   worker exception after the team is joined. The chunk callback receives
+   a whole run of adjacent stages and loops them one by one itself
+   (checking [should_abort] between stages), so there is no per-item
+   scheduler round-trip. *)
 let run_stealing ~domains ~exec_chunk ~chunks =
   let max_chunks =
     Array.fold_left (fun m c -> max m (Array.length c)) 0 chunks

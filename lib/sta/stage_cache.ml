@@ -9,21 +9,108 @@ let c_misses = Metrics.counter "stage_cache.misses"
 
 type stats = { hits : int; misses : int; entries : int }
 
+(* A table key is the shaped scenario itself, with the model name and
+   config it is solved under. [hash] is computed by [key] before the
+   cache lock is taken, so the locked section is one probe plus the
+   use-count bump. *)
+type key = {
+  hash : int;
+  model_name : string;
+  config : Tqwm_core.Config.t;
+  scenario : Tqwm_circuit.Scenario.t;
+}
+
+(* Exact structural equality over pure data, by one generic walk (the
+   comparison counterpart of [Marshal]): physically equal values are
+   equal without a look inside, so scenarios that share their stage,
+   technology and bias vector compare only their sources; floats are
+   equal when their bits are ([0.0] <> [-0.0], as in [fingerprint]);
+   strings and immediates by value. Scenarios and configs are plain
+   data; a closure or custom block would be rejected. *)
+let float_bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let rec same (a : Obj.t) (b : Obj.t) =
+  a == b
+  || Obj.is_block a && Obj.is_block b
+     &&
+     let tag = Obj.tag a in
+     tag = Obj.tag b
+     && Obj.size a = Obj.size b
+     &&
+     if tag < Obj.lazy_tag then begin
+       let n = Obj.size a in
+       let rec fields i =
+         i = n || (same (Obj.field a i) (Obj.field b i) && fields (i + 1))
+       in
+       fields 0
+     end
+     else if tag = Obj.double_tag then float_bits_equal (Obj.obj a) (Obj.obj b)
+     else if tag = Obj.double_array_tag then begin
+       let n = Array.length (Obj.obj a : float array) in
+       let rec doubles i =
+         i = n
+         || (float_bits_equal (Obj.double_field a i) (Obj.double_field b i)
+            && doubles (i + 1))
+       in
+       doubles 0
+     end
+     else if tag = Obj.string_tag then String.equal (Obj.obj a) (Obj.obj b)
+     else invalid_arg "Stage_cache: key holds a value that is not plain data"
+
+module Table = Hashtbl.Make (struct
+  type t = key
+
+  let hash k = k.hash
+
+  let equal a b =
+    a == b
+    || a.hash = b.hash
+       && String.equal a.model_name b.model_name
+       && same (Obj.repr a.config) (Obj.repr b.config)
+       && same (Obj.repr a.scenario) (Obj.repr b.scenario)
+end)
+
+(* The hash reads the bounded fields that tell shaped stages apart —
+   names, stage loads, initial biases and sources — and leaves the config
+   and stage topology to the equality. Equal keys hash equally: float
+   bits feed the hash directly, and [Hashtbl.hash] maps bit-equal floats
+   to one value. *)
+let key ~model ~config (scenario : Tqwm_circuit.Scenario.t) =
+  let model_name = model.Tqwm_device.Device_model.name in
+  let mix h v = (h lxor v) * 0x100000001b3 in
+  let mix_floats h (xs : float array) =
+    let h = ref h in
+    for i = 0 to Array.length xs - 1 do
+      let b = Int64.bits_of_float (Array.unsafe_get xs i) in
+      h := mix !h (Int64.to_int (Int64.logxor b (Int64.shift_right_logical b 32)))
+    done;
+    !h
+  in
+  let h = mix (Hashtbl.hash model_name) (Hashtbl.hash scenario.name) in
+  let h = mix_floats h scenario.stage.Tqwm_circuit.Stage.loads in
+  let h = mix_floats h scenario.initial in
+  let h = List.fold_left (fun h source -> mix h (Hashtbl.hash source)) h scenario.sources in
+  { hash = Hashtbl.hash h; model_name; config; scenario }
+
 (* Single-flight slots: the first domain to request a key claims it and
    solves; later requesters block on [cond] until the report lands. This
    keeps the miss count deterministic (one miss per distinct stage, the
    same number a sequential run reports) and never burns two domains on
-   the same solve. *)
+   the same solve. An entry keeps the key it was claimed under, so a
+   hit bumps [uses] with that very key and the bump's probe stops at
+   physical equality. *)
 type slot = Ready of Qwm.report | In_flight
+
+type entry = { canonical : key; slot : slot }
 
 type t = {
   slew_bucket : float;
-  table : (string, slot) Hashtbl.t;
+  table : entry Table.t;
   (* per-key request counts: how many [run] calls asked for each key,
      hits and misses alike. The total per key is a property of the work
      submitted, not of scheduling, so it is deterministic across domain
      counts and chunk sizes — the provenance path-explain reports lean on. *)
-  uses : (string, int) Hashtbl.t;
+  uses : int Table.t;
   lock : Mutex.t;
   cond : Condition.t;
   hits : int Atomic.t;
@@ -34,8 +121,8 @@ let create ?(slew_bucket = 1e-12) () =
   if slew_bucket <= 0.0 then invalid_arg "Stage_cache.create: slew_bucket <= 0";
   {
     slew_bucket;
-    table = Hashtbl.create 256;
-    uses = Hashtbl.create 256;
+    table = Table.create 256;
+    uses = Table.create 256;
     lock = Mutex.create ();
     cond = Condition.create ();
     hits = Atomic.make 0;
@@ -51,7 +138,7 @@ let create ?(slew_bucket = 1e-12) () =
    session whose full propagation already happened. *)
 let fork ?(copy_uses = false) t =
   Mutex.lock t.lock;
-  let uses = if copy_uses then Hashtbl.copy t.uses else Hashtbl.create 256 in
+  let uses = if copy_uses then Table.copy t.uses else Table.create 256 in
   Mutex.unlock t.lock;
   {
     slew_bucket = t.slew_bucket;
@@ -69,7 +156,8 @@ let bucket_slew t s =
   if s <= 0.0 then s
   else Float.max t.slew_bucket (Float.round (s /. t.slew_bucket) *. t.slew_bucket)
 
-(* A scenario is pure data (stage arrays, source shapes, floats), as is a
+(* The canonical external digest; the table itself keys on [key] above.
+   A scenario is pure data (stage arrays, source shapes, floats), as is a
    config, so marshalling yields a canonical byte string covering stage
    topology, device sizes, loads and (pre-bucketed) input source shapes.
    Device models contain closures and cannot be marshalled; only the
@@ -94,24 +182,26 @@ let fingerprint ~model ~config scenario =
   in
   Digest.string (structural ^ Bytes.unsafe_to_string bits)
 
+let count uses k =
+  Table.replace uses k (1 + Option.value (Table.find_opt uses k) ~default:0)
+
 let run t ~model ~config scenario =
-  let key = fingerprint ~model ~config scenario in
+  let key = key ~model ~config scenario in
   Mutex.lock t.lock;
-  Hashtbl.replace t.uses key
-    (1 + Option.value (Hashtbl.find_opt t.uses key) ~default:0);
-  let rec claim () =
-    match Hashtbl.find_opt t.table key with
-    | Some (Ready report) -> `Hit report
-    | Some In_flight ->
+  let found = Table.find_opt t.table key in
+  count t.uses (match found with Some e -> e.canonical | None -> key);
+  let rec claim = function
+    | Some { slot = Ready report; _ } -> `Hit report
+    | Some { slot = In_flight; _ } ->
       (* another domain is already solving this stage: wait for its
          report rather than duplicating the solve *)
       Condition.wait t.cond t.lock;
-      claim ()
+      claim (Table.find_opt t.table key)
     | None ->
-      Hashtbl.replace t.table key In_flight;
+      Table.replace t.table key { canonical = key; slot = In_flight };
       `Solve
   in
-  let claimed = claim () in
+  let claimed = claim found in
   Mutex.unlock t.lock;
   match claimed with
   | `Hit report ->
@@ -128,7 +218,7 @@ let run t ~model ~config scenario =
     | exception e ->
       (* release the claim so waiters retry instead of hanging *)
       Mutex.lock t.lock;
-      Hashtbl.remove t.table key;
+      Table.remove t.table key;
       Condition.broadcast t.cond;
       Mutex.unlock t.lock;
       raise e
@@ -136,22 +226,21 @@ let run t ~model ~config scenario =
       Atomic.incr t.misses;
       Metrics.incr c_misses;
       Mutex.lock t.lock;
-      Hashtbl.replace t.table key (Ready report);
+      Table.replace t.table key { canonical = key; slot = Ready report };
       Condition.broadcast t.cond;
       Mutex.unlock t.lock;
       report)
 
 let peek t ~model ~config scenario =
-  let key = fingerprint ~model ~config scenario in
+  let key = key ~model ~config scenario in
   Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some (Ready report) -> Some report
-      | Some In_flight | None -> None)
+      match Table.find_opt t.table key with
+      | Some { slot = Ready report; _ } -> Some report
+      | Some { slot = In_flight; _ } | None -> None)
 
 let uses t ~model ~config scenario =
-  let key = fingerprint ~model ~config scenario in
-  Mutex.protect t.lock (fun () ->
-      Option.value (Hashtbl.find_opt t.uses key) ~default:0)
+  let key = key ~model ~config scenario in
+  Mutex.protect t.lock (fun () -> Option.value (Table.find_opt t.uses key) ~default:0)
 
 let stats t =
   {
@@ -159,8 +248,8 @@ let stats t =
     misses = Atomic.get t.misses;
     entries =
       Mutex.protect t.lock (fun () ->
-          Hashtbl.fold
-            (fun _ slot n -> match slot with Ready _ -> n + 1 | In_flight -> n)
+          Table.fold
+            (fun _ e n -> match e.slot with Ready _ -> n + 1 | In_flight -> n)
             t.table 0);
   }
 
@@ -171,8 +260,8 @@ let hit_rate t =
 
 let clear t =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.table;
-      Hashtbl.reset t.uses;
+      Table.reset t.table;
+      Table.reset t.uses;
       (* any domain waiting on an in-flight slot re-claims and solves *)
       Condition.broadcast t.cond);
   Atomic.set t.hits 0;

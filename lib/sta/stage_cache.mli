@@ -3,10 +3,29 @@
     Large timing graphs repeat gates: a decoder fan-out tree instantiates
     the same stage (same topology, device sizes, load) hundreds of times,
     and after slew bucketing their switching inputs coincide too. The
-    cache keys each {!Tqwm_core.Qwm.run} on a canonical fingerprint of
-    the full scenario — stage topology, device geometry, external loads,
-    initial node biases and input source shapes — so every repeated gate
-    is solved exactly once.
+    cache solves every repeated gate exactly once.
+
+    Keys: the table is keyed on [(model name, config, scenario)] — the
+    shaped scenario value itself, covering stage topology, device
+    geometry, external loads, initial node biases and input source
+    shapes. A table key therefore holds the scenario (sharing its stage
+    and technology with the graph) rather than a 16-byte digest, and a
+    lookup neither serializes nor digests anything. The key's hash is
+    read from the scenario's name, stage loads, initial biases and
+    sources before the lock is taken; the locked section is one table
+    probe plus the use-count bump.
+
+    Exactness: two keys are equal when the values are structurally
+    equal, floats bit for bit ([0.0] and [-0.0] are different keys, as
+    are rise times one ulp apart), strings and integers by value.
+    Physically shared parts are equal without a walk, so a hit on a
+    pooled cell — one whose stage, technology and bias vector are shared
+    — compares only the freshly shaped sources. This is the equality of
+    {!fingerprint} with one exception: values that differ only in
+    internal sharing (two sources holding one shape block vs two equal
+    blocks) share an entry here, while the digest, which serializes
+    sharing, tells them apart. No scenario builder in this library
+    produces such a pair.
 
     Thread-safety: the table is mutex-protected and the counters are
     atomic, so one cache may be shared by all domains of the
@@ -66,9 +85,13 @@ val fingerprint :
   config:Tqwm_core.Config.t ->
   Tqwm_circuit.Scenario.t ->
   string
-(** Canonical digest of (model name, config, scenario). Device models
-    are identified by name only — do not share one cache between models
-    that answer differently under the same name. *)
+(** Canonical external digest of (model name, config, scenario): a
+    stable byte string for records outside the process (graph digests,
+    ledgers). It is not the table key and is never computed by {!run},
+    {!peek} or {!uses}; two scenarios with equal digests are one cache
+    entry. Device models are identified by name only, in the digest and
+    in the table key alike — do not share one cache between models that
+    answer differently under the same name. *)
 
 val run :
   t ->

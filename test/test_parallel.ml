@@ -144,7 +144,158 @@ let test_cache_bucketing () =
   Alcotest.(check bool) "load changes the fingerprint" true (a <> b);
   Alcotest.(check bool) "fingerprint is deterministic" true
     (String.equal a
-       (Stage_cache.fingerprint ~model ~config (Scenario.nand_falling ~n:2 tech)))
+       (Stage_cache.fingerprint ~model ~config (Scenario.nand_falling ~n:2 tech)));
+  (* the public digest is pinned: external records (the benchmark's graph
+     digest among them) are built from it, so its bytes may not drift *)
+  Alcotest.(check string) "nand2 digest pinned" "5249a6ecff2c9e599d5e358cd0c6a3c1"
+    (Digest.to_hex a);
+  Alcotest.(check string) "inverter digest pinned" "ec94064d0d6d1f25bed854c18e9c9582"
+    (Digest.to_hex
+       (Stage_cache.fingerprint ~model ~config (Scenario.inverter_falling tech)))
+
+(* ---------- exact structural keys ---------- *)
+
+let run_through cache scenarios =
+  let model = Lazy.force table and config = Tqwm_core.Config.default in
+  List.iter (fun s -> ignore (Stage_cache.run cache ~model ~config s)) scenarios;
+  Stage_cache.stats cache
+
+let check_counts what ~hits ~misses (stats : Stage_cache.stats) =
+  Alcotest.(check (pair int int))
+    (what ^ ": hits, misses")
+    (hits, misses)
+    (stats.Stage_cache.hits, stats.Stage_cache.misses)
+
+let test_cache_exact_keys () =
+  (* equal values built separately share no memory, yet share an entry *)
+  check_counts "separately built inverters" ~hits:1 ~misses:1
+    (run_through (Stage_cache.create ())
+       [ Scenario.inverter_falling tech; Scenario.inverter_falling tech ]);
+  (* floats are keyed by their bits: a signed zero is a different key *)
+  let inv = Scenario.inverter_falling tech in
+  let stage = inv.Scenario.stage in
+  let with_supply_load c =
+    { inv with Scenario.stage = Stage.with_load stage stage.Stage.supply c }
+  in
+  check_counts "load 0.0 vs -0.0" ~hits:0 ~misses:2
+    (run_through (Stage_cache.create ()) [ with_supply_load 0.0; with_supply_load (-0.0) ]);
+  (* [Hashtbl.hash] maps both zeros to one value, so here only the
+     equality tells the two step times apart *)
+  let with_step_at t0 =
+    let step = Tqwm_wave.Source.step ~t0 ~low:0.0 ~high:tech.Tech.vdd () in
+    { inv with Scenario.sources = [ ("a1", step) ] }
+  in
+  check_counts "step at 0.0 vs -0.0" ~hits:0 ~misses:2
+    (run_through (Stage_cache.create ()) [ with_step_at 0.0; with_step_at (-0.0) ]);
+  let rise = 20e-12 in
+  check_counts "rise time one ulp apart" ~hits:0 ~misses:2
+    (run_through (Stage_cache.create ())
+       [
+         Scenario.with_ramp_input ~rise_time:rise inv;
+         Scenario.with_ramp_input ~rise_time:(Float.succ rise) inv;
+       ]);
+  (* the one departure from the digest: values that differ only in
+     internal sharing are one key, while [fingerprint] (which serializes
+     sharing) tells them apart. No builder in the library produces this. *)
+  let nand = Scenario.nand_falling ~n:3 tech in
+  let shared =
+    match nand.Scenario.sources with
+    | [ a1; (n2, s2); (n3, _) ] ->
+      { nand with Scenario.sources = [ a1; (n2, s2); (n3, s2) ] }
+    | _ -> Alcotest.fail "nand3 has three sources"
+  in
+  let model = Lazy.force table and config = Tqwm_core.Config.default in
+  Alcotest.(check bool) "sharing changes the digest" false
+    (String.equal
+       (Stage_cache.fingerprint ~model ~config nand)
+       (Stage_cache.fingerprint ~model ~config shared));
+  check_counts "sharing-only difference shares an entry" ~hits:1 ~misses:1
+    (run_through (Stage_cache.create ()) [ nand; shared ])
+
+let test_cache_clear_shared () =
+  let model = Lazy.force table and config = Tqwm_core.Config.default in
+  let inv = Scenario.inverter_falling tech in
+  let parent = Stage_cache.create () in
+  let child = Stage_cache.fork parent in
+  ignore (Stage_cache.run parent ~model ~config inv);
+  Alcotest.(check bool) "the fork sees the parent's solve" true
+    (Option.is_some (Stage_cache.peek child ~model ~config inv));
+  Stage_cache.clear child;
+  Alcotest.(check int) "parent table emptied" 0
+    (Stage_cache.stats parent).Stage_cache.entries;
+  Alcotest.(check bool) "parent peek misses" true
+    (Option.is_none (Stage_cache.peek parent ~model ~config inv));
+  Alcotest.(check int) "parent keeps its own use counts" 1
+    (Stage_cache.uses parent ~model ~config inv);
+  (* a scenario built anew after the clear still finds the old count *)
+  ignore (Stage_cache.run parent ~model ~config (Scenario.inverter_falling tech));
+  Alcotest.(check int) "counts survive re-keying" 2
+    (Stage_cache.uses parent ~model ~config inv);
+  check_counts "re-solved after the clear" ~hits:0 ~misses:2 (Stage_cache.stats parent)
+
+(* Random graphs with random primary-input retiming, propagated on 1-4
+   domains through one cache: the cache solves each distinct shaped
+   scenario once, and counts every stage's request under its own key —
+   distinctness measured by the public digest of the scenarios replay
+   recovers. *)
+let prop_cache_parity =
+  let graph_gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          map3
+            (fun width depth seed () -> Workloads.random_stacks ~width ~depth ~seed tech)
+            (int_range 1 3) (int_range 1 3) (int_range 0 50);
+          map2
+            (fun fanout depth () -> Workloads.decoder_tree ~fanout ~depth ~levels:1 tech)
+            (int_range 1 3) (int_range 0 2);
+          map (fun n () -> Workloads.chain ~n tech) (int_range 1 6);
+        ])
+  in
+  let pi_gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 4)
+        (opt
+           (map2
+              (fun pi_arrival pi_slew -> { Arrival.pi_arrival; pi_slew })
+              (float_range 0.0 50e-12)
+              (oneofl [ -5e-12; 0.0; 10e-12; 10.2e-12; 30e-12 ]))))
+  in
+  QCheck2.Test.make ~name:"cache misses and uses match distinct digests" ~count:12
+    QCheck2.Gen.(triple graph_gen pi_gen (int_range 1 4))
+    (fun (make_graph, pi, domains) ->
+      let model = Lazy.force table and config = Tqwm_core.Config.default in
+      let graph = make_graph () in
+      let pi = Array.of_list pi in
+      let cache = Stage_cache.create () in
+      let analysis = Parallel.propagate ~model ~config ~cache ~pi ~domains graph in
+      let frozen = Timing_graph.freeze graph in
+      let timings = Array.map Option.some analysis.Arrival.timings in
+      let shaped =
+        Array.init (Timing_graph.num_stages graph) (fun id ->
+            let _, _, scenario =
+              Arrival.replay_stage ~model ~config ~default_slew:20e-12 ~cache ~pi frozen
+                timings id
+            in
+            scenario)
+      in
+      let digests = Array.map (Stage_cache.fingerprint ~model ~config) shaped in
+      let sharing = Hashtbl.create 16 in
+      Array.iter
+        (fun d ->
+          let n = Option.value (Hashtbl.find_opt sharing d) ~default:0 in
+          Hashtbl.replace sharing d (n + 1))
+        digests;
+      Alcotest.(check int) "misses = distinct digests" (Hashtbl.length sharing)
+        (Stage_cache.stats cache).Stage_cache.misses;
+      Array.iteri
+        (fun id scenario ->
+          Alcotest.(check int)
+            (Printf.sprintf "stage %d uses" id)
+            (Hashtbl.find sharing digests.(id))
+            (Stage_cache.uses cache ~model ~config scenario))
+        shaped;
+      true)
 
 (* ---------- work-stealing chunk scheduler ---------- *)
 
@@ -302,6 +453,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_propagate_identical;
         ] );
       ( "stage cache",
-        [ quick "bucketing and fingerprints" test_cache_bucketing ] );
+        [
+          quick "bucketing and fingerprints" test_cache_bucketing;
+          quick "exact structural keys" test_cache_exact_keys;
+          quick "clear empties the shared table" test_cache_clear_shared;
+          QCheck_alcotest.to_alcotest prop_cache_parity;
+        ] );
       ("slack", [ slow "chain identity" test_chain_slack_identity ]);
     ]
